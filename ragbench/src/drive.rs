@@ -29,15 +29,6 @@ const REQUEST_TIMEOUT: Duration = Duration::from_secs(30);
 /// Benchmark-side trace ids carry this tag in their top byte.
 const TRACE_TAG: u64 = 0xBE << 56;
 
-/// How the generator registers each request's chunks before submitting.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Prepare {
-    /// Chunks were registered at set-up.
-    None,
-    /// Register every chunk lazily just before the submit (new content).
-    RegisterLazy,
-}
-
 /// One finished request as the client saw it.
 #[derive(Debug)]
 pub struct Done {
@@ -116,10 +107,6 @@ struct Flight {
 pub struct Extra {
     /// How late each open-loop send was, in ms.
     pub lag_ms: Vec<f64>,
-    /// Latency of each registration the generator made, in ms.
-    pub register_ms: Vec<f64>,
-    /// Registrations that returned an error.
-    pub register_failed: u64,
     /// The first few failures, as text.
     pub errors: Vec<String>,
     /// Highest thread count the process reached.
@@ -131,7 +118,6 @@ pub struct Extra {
 /// Sends requests and collects their outcomes.
 pub struct Driver<'a> {
     system: &'a System,
-    prepare: Prepare,
     /// Trace every other request (trace runs only).
     traced: bool,
     /// Distinguishes this driver's trace ids from other phases'.
@@ -147,10 +133,9 @@ pub struct Driver<'a> {
 
 impl<'a> Driver<'a> {
     /// A driver over `system`; `phase` tags its trace ids.
-    pub fn new(system: &'a System, prepare: Prepare, traced: bool, phase: u64) -> Self {
+    pub fn new(system: &'a System, traced: bool, phase: u64) -> Self {
         Self {
             system,
-            prepare,
             traced,
             phase,
             flights: Vec::new(),
@@ -181,30 +166,6 @@ impl<'a> Driver<'a> {
                 due_ns,
                 sent_ns,
             );
-        }
-        if self.prepare == Prepare::RegisterLazy {
-            let t_ns = cb_obs::now_nanos();
-            for chunk in &req.chunks {
-                let t = Instant::now();
-                match self.system.register_lazy(chunk) {
-                    Ok(_) => self.extra.register_ms.push(t.elapsed().as_secs_f64() * 1e3),
-                    Err(e) => {
-                        self.extra.register_failed += 1;
-                        note(&mut self.extra.errors, format!("register_lazy: {e:?}"));
-                    }
-                }
-            }
-            if trace.0 != 0 {
-                let end = cb_obs::now_nanos();
-                record_span_with_id(
-                    trace.0,
-                    alloc_span_id(),
-                    trace.1,
-                    "client.register",
-                    t_ns,
-                    end,
-                );
-            }
         }
         let request = Request::new(req.chunk_ids.clone(), req.query.clone())
             .ratio(RATIO)
@@ -365,14 +326,14 @@ impl<'a> Driver<'a> {
     }
 
     /// Closed loop: keeps `outstanding` requests in flight for `span`,
-    /// drawing request `i` from `make(i)`; returns completions per second
-    /// over the span. Requests still outstanding at the end are drained and
-    /// kept.
+    /// taking each new request from `make` and appending it to `requests`;
+    /// returns completions per second over the span. Requests still
+    /// outstanding at the end are drained and kept.
     pub fn closed_loop(
         &mut self,
         outstanding: usize,
         span: Duration,
-        mut make: impl FnMut(usize) -> GenRequest,
+        mut make: impl FnMut() -> GenRequest,
         requests: &mut Vec<GenRequest>,
     ) -> f64 {
         let start = Instant::now();
@@ -380,7 +341,7 @@ impl<'a> Driver<'a> {
         while start.elapsed() < span {
             while self.flights.len() < outstanding {
                 let i = requests.len();
-                requests.push(make(i));
+                requests.push(make());
                 let now_ns = cb_obs::now_nanos();
                 self.send(i, &requests[i], now_ns);
             }
@@ -398,13 +359,13 @@ impl<'a> Driver<'a> {
     }
 }
 
-/// The ingest stream: registers new chunks at a fixed rate and, with a
-/// window, unregisters the oldest live one beyond it.
+/// The ingest stream: registers new chunks at a fixed rate and
+/// unregisters the oldest live one beyond a window.
 pub struct Ingest<'a> {
     system: &'a System,
     chunks: Vec<Vec<TokenId>>,
     rate: f64,
-    window: Option<usize>,
+    window: usize,
 }
 
 /// What the ingest stream did.
@@ -427,12 +388,7 @@ fn note(errors: &mut Vec<String>, message: String) {
 
 impl<'a> Ingest<'a> {
     /// Ingests `chunks` in order at `rate` per second.
-    pub fn new(
-        system: &'a System,
-        chunks: Vec<Vec<TokenId>>,
-        rate: f64,
-        window: Option<usize>,
-    ) -> Self {
+    pub fn new(system: &'a System, chunks: Vec<Vec<TokenId>>, rate: f64, window: usize) -> Self {
         Self {
             system,
             chunks,
@@ -469,16 +425,14 @@ impl<'a> Ingest<'a> {
                     note(&mut report.errors, format!("register: {e:?}"));
                 }
             }
-            if let Some(window) = self.window {
-                while live.len() > window {
-                    let oldest = live.pop_front().expect("window is non-empty");
-                    if !self.system.unregister(oldest) {
-                        report.failed += 1;
-                        note(
-                            &mut report.errors,
-                            format!("unregister {oldest:?}: not found"),
-                        );
-                    }
+            while live.len() > self.window {
+                let oldest = live.pop_front().expect("window is non-empty");
+                if !self.system.unregister(oldest) {
+                    report.failed += 1;
+                    note(
+                        &mut report.errors,
+                        format!("unregister {oldest:?}: not found"),
+                    );
                 }
             }
         }

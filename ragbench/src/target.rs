@@ -42,7 +42,7 @@ pub enum Deploy {
     Local {
         storage: StorageConfig,
         decode_batch: usize,
-        dir: Option<PathBuf>,
+        dir: PathBuf,
     },
 }
 
@@ -77,7 +77,8 @@ fn err(e: impl std::fmt::Display) -> SetupError {
 }
 
 impl System {
-    /// Builds the deployment (a fresh, empty disk directory if it has one).
+    /// Builds the deployment (with a fresh, empty disk directory when it
+    /// has a disk tier).
     pub fn start(deploy: &Deploy) -> Result<System, SetupError> {
         match deploy {
             Deploy::Cluster => {
@@ -120,16 +121,14 @@ impl System {
                 decode_batch,
                 dir,
             } => {
-                if let Some(dir) = dir {
-                    reset_dir(dir)?;
-                }
+                reset_dir(dir)?;
                 let service = EngineService::new(
                     engine(storage.clone()),
                     ServiceConfig::default().decode_batch(*decode_batch),
                 );
                 Ok(System {
                     front: Front::Local { service },
-                    _dir: dir.clone().map(TempDir),
+                    _dir: Some(TempDir(dir.clone())),
                 })
             }
         }
@@ -149,14 +148,6 @@ impl System {
         match &self.front {
             Front::Cluster { client, .. } => client.register_chunk(tokens, true),
             Front::Local { service } => service.engine().register_chunk(tokens),
-        }
-    }
-
-    /// Registers a chunk's tokens only; its KV is computed on first use.
-    pub fn register_lazy(&self, tokens: &[TokenId]) -> Result<ChunkId, EngineError> {
-        match &self.front {
-            Front::Cluster { client, .. } => client.register_chunk(tokens, false),
-            Front::Local { service } => service.engine().register_chunk_lazy(tokens),
         }
     }
 

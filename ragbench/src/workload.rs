@@ -132,28 +132,59 @@ impl Corpus {
         self.datasets.iter().flat_map(|d| d.chunks.iter())
     }
 
-    /// Draws a request by popularity.
-    pub fn draw(&self, rng: &mut Rng) -> GenRequest {
+    /// Deals `n` requests whose mix follows the popularity weights as
+    /// closely as whole counts allow, in random order. Systematic
+    /// sampling: every case appears the floor or the ceiling of its
+    /// expected count, and the seeded offset picks which tail cases make
+    /// up the remainders. Independent draws would let the share of the
+    /// head cases, and with it the median context length, swing by a
+    /// third from seed to seed.
+    pub fn deal(&self, n: usize, rng: &mut Rng) -> Vec<GenRequest> {
         let total = *self.cdf.last().expect("corpus has cases");
-        let u = rng.unit() * total;
-        let i = self
-            .cdf
-            .partition_point(|&c| c <= u)
-            .min(self.pool.len() - 1);
-        self.pool[i].clone()
+        let offset = rng.unit();
+        let mut hand: Vec<GenRequest> = (0..n)
+            .map(|j| {
+                let x = (offset + j as f64) / n as f64 * total;
+                let i = self
+                    .cdf
+                    .partition_point(|&c| c <= x)
+                    .min(self.pool.len() - 1);
+                self.pool[i].clone()
+            })
+            .collect();
+        for i in (1..hand.len()).rev() {
+            hand.swap(i, rng.range(0, i));
+        }
+        hand
     }
 }
 
-/// A request over content nobody has asked for before: a fresh dataset
-/// per request (seeded by `seed` and the request's index), so every
-/// chunk is new and must be precomputed.
-pub fn unshared_request(seed: u64, index: u64) -> GenRequest {
-    let mut rng = Rng::new(seed, 0x5EED_0000 + index);
-    let kind = DatasetKind::all()[rng.range(0, 3)];
-    let ds = Dataset::standard(kind, rng.next_u64());
-    let case = rng.range(0, ds.cases.len() - 1);
-    let k = rng.range(TOP_K.0, TOP_K.1);
-    request_from(&ds, case, k, u64::MAX - index)
+/// An endless request source for the closed loop: deals one pool's worth
+/// of requests at a time (see [`Corpus::deal`]) and hands them out in
+/// order.
+pub struct Deck<'c> {
+    corpus: &'c Corpus,
+    rng: Rng,
+    hand: Vec<GenRequest>,
+}
+
+impl<'c> Deck<'c> {
+    /// A deck over `corpus`, shuffled by `rng`.
+    pub fn new(corpus: &'c Corpus, rng: Rng) -> Self {
+        Self {
+            corpus,
+            rng,
+            hand: Vec::new(),
+        }
+    }
+
+    /// The next request.
+    pub fn next(&mut self) -> GenRequest {
+        if self.hand.is_empty() {
+            self.hand = self.corpus.deal(self.corpus.pool.len(), &mut self.rng);
+        }
+        self.hand.pop().expect("a dealt hand is not empty")
+    }
 }
 
 /// Chunks for the ingest stream: documents nobody queries, in order.
@@ -210,18 +241,24 @@ mod tests {
         );
 
         let (ca, cb) = (Corpus::new(7, 1.0), Corpus::new(7, 1.0));
-        let (mut ra, mut rb) = (Rng::new(7, 3), Rng::new(7, 3));
-        for _ in 0..50 {
-            let (x, y) = (ca.draw(&mut ra), cb.draw(&mut rb));
+        let (x, y) = (
+            ca.deal(50, &mut Rng::new(7, 3)),
+            cb.deal(50, &mut Rng::new(7, 3)),
+        );
+        for (x, y) in x.iter().zip(&y) {
             assert_eq!(
                 (x.key, &x.chunk_ids, &x.query),
                 (y.key, &y.chunk_ids, &y.query)
             );
             assert!((TOP_K.0..=TOP_K.1).contains(&x.chunks.len()));
         }
-        let (u, v) = (unshared_request(7, 3), unshared_request(7, 3));
-        assert_eq!((&u.chunk_ids, &u.query), (&v.chunk_ids, &v.query));
-        assert_ne!(u.chunk_ids, unshared_request(7, 4).chunk_ids);
+        let (mut da, mut db) = (
+            Deck::new(&ca, Rng::new(7, 4)),
+            Deck::new(&cb, Rng::new(7, 4)),
+        );
+        for _ in 0..400 {
+            assert_eq!(da.next().key, db.next().key);
+        }
         let none = HashSet::new();
         let stream = ingest_chunks(7, 300, &none);
         assert_eq!(stream, ingest_chunks(7, 300, &none));
@@ -234,15 +271,30 @@ mod tests {
     }
 
     #[test]
-    fn zipf_draws_favour_the_head() {
+    fn a_dealt_mix_follows_the_zipf_weights() {
         let c = Corpus::new(3, 1.0);
-        let mut rng = Rng::new(3, 3);
-        let head = (0..4000)
-            .filter(|_| c.draw(&mut rng).key == c.pool[0].key)
-            .count();
-        let tail = (0..4000)
-            .filter(|_| c.draw(&mut rng).key == c.pool[c.pool.len() - 1].key)
-            .count();
-        assert!(head > 10 * tail.max(1), "head {head} tail {tail}");
+        let total = *c.cdf.last().unwrap();
+        for (seed, n) in [(1, 150), (2, 176), (3, 1000)] {
+            let hand = c.deal(n, &mut Rng::new(seed, 1));
+            assert_eq!(hand.len(), n);
+            let mut prev = 0.0;
+            for (rank, case) in c.pool.iter().enumerate() {
+                let expected = (c.cdf[rank] - prev) / total * n as f64;
+                prev = c.cdf[rank];
+                let got = hand.iter().filter(|r| r.key == case.key).count() as f64;
+                assert!(
+                    got == expected.floor() || got == expected.ceil(),
+                    "rank {rank}: {got} dealt, {expected:.2} expected"
+                );
+            }
+        }
+        // The seed decides the order and which tail cases fill the
+        // remainders.
+        let (a, b) = (
+            c.deal(150, &mut Rng::new(1, 1)),
+            c.deal(150, &mut Rng::new(2, 1)),
+        );
+        let keys = |h: &[GenRequest]| h.iter().map(|r| r.key).collect::<Vec<_>>();
+        assert_ne!(keys(&a), keys(&b));
     }
 }
