@@ -72,7 +72,7 @@ fn bench_quantize(c: &mut Criterion) {
 
 fn bench_disk_tier(c: &mut Criterion) {
     use cb_kv::store::TierConfig;
-    use cb_storage::{DiskBackend, MemBackend, StorageBackend};
+    use cb_storage::{MemBackend, SegmentLogBackend, StorageBackend};
     use std::sync::Arc;
     let cache = chunk_cache();
     let bytes = encode(&cache);
@@ -86,7 +86,7 @@ fn bench_disk_tier(c: &mut Criterion) {
         ),
         (
             TierConfig::new("disk", 1 << 30),
-            Arc::new(DiskBackend::new(&dir, None).unwrap()),
+            Arc::new(SegmentLogBackend::new(&dir, None).unwrap()),
         ),
     ]);
     store.insert_bytes(ChunkId(1), bytes).unwrap();

@@ -2,7 +2,7 @@
 //! prefill, across the §5.2 device bandwidth grid.
 //!
 //! Chunk KV entries live on a *real* disk tier (`cb-storage`'s
-//! [`DiskBackend`] segment files) throttled to each catalogue device's
+//! [`SegmentLogBackend`] logs) throttled to each catalogue device's
 //! bandwidth/latency with real sleeps. Three arms serve the same request:
 //!
 //! - **pipelined** — `KvStore::prefetch` handles streamed through
@@ -31,12 +31,12 @@
 //!
 //! Two further arms benchmark the storage subsystem itself:
 //!
-//! - **layout sweep** (`storage_layout` rows) — registers and reloads the
-//!   same chunk population through the file-per-chunk [`DiskBackend`] and
-//!   the packed [`SegmentLogBackend`], unthrottled, counting wall-clock
-//!   *and* syscalls (each backend's [`cb_storage::IoOps`] ledger); then
-//!   deletes half the population and reports what fraction of the dead
-//!   bytes compaction reclaims.
+//! - **layout sweep** (`storage_layout` and `storage_compaction` rows) —
+//!   registers and reloads a chunk population through the packed
+//!   [`SegmentLogBackend`], unthrottled, counting wall-clock *and*
+//!   syscalls (the backend's [`cb_storage::IoOps`] ledger); then deletes
+//!   half the population and reports what fraction of the dead bytes
+//!   compaction reclaims.
 //! - **quantized cold tier** (`storage_quantized` row) — stores one chunk
 //!   population on an f32 packed tier and on an int8 *quantized* packed
 //!   tier, reporting the on-disk footprint ratio plus a fig07-style CDF
@@ -56,8 +56,7 @@ use cb_kv::store::TierConfig;
 use cb_kv::{ChunkId, KvStore};
 use cb_model::{KvCache, Model, ModelConfig, ModelProfile};
 use cb_storage::{
-    DeviceKind, DiskBackend, IoOps, MemBackend, SegmentLogBackend, SegmentLogConfig,
-    StorageBackend, Throttle,
+    DeviceKind, MemBackend, SegmentLogBackend, SegmentLogConfig, StorageBackend, Throttle,
 };
 use cb_tensor::stats::quantile;
 use cb_tokenizer::{TokenId, TokenKind};
@@ -129,7 +128,7 @@ fn disk_resident_store(dir: &std::path::Path, device: DeviceKind, bandwidth_scal
         ),
         (
             TierConfig::new(spec.name, 1 << 32),
-            Arc::new(DiskBackend::new(dir, Some(throttle)).expect("cache dir")),
+            Arc::new(SegmentLogBackend::new(dir, Some(throttle)).expect("cache dir")),
         ),
     ])
 }
@@ -201,9 +200,11 @@ fn run_device(
     }
 }
 
-/// One layout's half of the register/load sweep.
+/// The packed log's register/load sweep plus the compaction result.
 #[derive(Clone, Copy, Debug, Default)]
-pub struct LayoutArm {
+pub struct LayoutOutcome {
+    /// Chunks registered.
+    pub chunks: usize,
     /// Wall-clock seconds to register (put + flush) the population.
     pub register_s: f64,
     /// Wall-clock seconds to reload every entry.
@@ -213,19 +214,8 @@ pub struct LayoutArm {
     pub syscalls: u64,
     /// Files on disk after registration.
     pub files: u64,
-}
-
-/// Packed-log vs file-per-chunk comparison plus the compaction result.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct LayoutComparison {
-    /// Chunks registered per layout.
-    pub chunks: usize,
-    /// The file-per-chunk reference backend.
-    pub file_per_chunk: LayoutArm,
-    /// The packed segment-log backend.
-    pub packed_log: LayoutArm,
     /// Fraction of the dead bytes (from deleting half the population)
-    /// that compaction reclaimed from the packed log.
+    /// that compaction reclaimed.
     pub compact_reclaimed_frac: f64,
 }
 
@@ -252,8 +242,8 @@ pub struct QuantizedOutcome {
 pub struct StorageOutcome {
     /// Best pipelining `hidden_frac` on the largest profile.
     pub hidden_frac: f64,
-    /// Packed-log vs file-per-chunk sweep.
-    pub layout: LayoutComparison,
+    /// Packed-log register/load sweep and compaction.
+    pub layout: LayoutOutcome,
     /// Quantized cold-tier arm.
     pub quantized: QuantizedOutcome,
 }
@@ -271,16 +261,26 @@ fn synthetic_entry() -> Bytes {
     cb_kv::serialize::encode(&c)
 }
 
-/// Registers `n` entries, flushes, reloads them all; returns the arm's
-/// timings plus the backend's syscall ledger delta.
-fn run_layout_arm(
-    backend: &dyn StorageBackend,
-    io_before: IoOps,
-    io_after: impl Fn() -> IoOps,
-    dir: &std::path::Path,
-    n: usize,
-    entry: &Bytes,
-) -> LayoutArm {
+/// The packed-log register/load sweep plus the compaction measurement
+/// (see module docs).
+fn layout_sweep(root: &std::path::Path, smoke: bool, rows: &mut Vec<Row>) -> LayoutOutcome {
+    let n = if smoke { 300 } else { 10_000 };
+    let entry = synthetic_entry();
+
+    let dir = root.join("layout-packed");
+    let _ = std::fs::remove_dir_all(&dir);
+    // Deterministic compaction below: no background races with the
+    // measured phases. Small rotation keeps the (never-compacted) active
+    // log a sliver of the population, so the reclaim fraction reflects
+    // the compactor rather than the rotation boundary.
+    let cfg = SegmentLogConfig {
+        auto_compact: false,
+        compact_min_garbage: 0.3,
+        rotate_bytes: 1 << 20,
+        ..SegmentLogConfig::default()
+    };
+    let backend = SegmentLogBackend::with_config(&dir, None, false, cfg).expect("cache dir");
+    let io_before = backend.io_ops();
     let t = Instant::now();
     for i in 0..n {
         backend.put(i as u64, entry.clone()).expect("put");
@@ -293,94 +293,39 @@ fn run_layout_arm(
         std::hint::black_box(b.len());
     }
     let load_s = t.elapsed().as_secs_f64();
-    let io = io_after();
-    let files = std::fs::read_dir(dir)
+    let syscalls = backend.io_ops().total() - io_before.total();
+    let files = std::fs::read_dir(&dir)
         .map(|d| d.count() as u64)
         .unwrap_or(0);
-    LayoutArm {
-        register_s,
-        load_s,
-        syscalls: io.total() - io_before.total(),
-        files,
-    }
-}
-
-/// The packed-vs-file-per-chunk register/load sweep plus the compaction
-/// measurement (see module docs).
-fn layout_sweep(root: &std::path::Path, smoke: bool, rows: &mut Vec<Row>) -> LayoutComparison {
-    let n = if smoke { 300 } else { 10_000 };
-    let entry = synthetic_entry();
-
-    let file_dir = root.join("layout-file");
-    let _ = std::fs::remove_dir_all(&file_dir);
-    let file_backend = DiskBackend::new(&file_dir, None).expect("cache dir");
-    let file_per_chunk = run_layout_arm(
-        &file_backend,
-        file_backend.io_ops(),
-        || file_backend.io_ops(),
-        &file_dir,
-        n,
-        &entry,
-    );
-    drop(file_backend);
-    let _ = std::fs::remove_dir_all(&file_dir);
-
-    let log_dir = root.join("layout-packed");
-    let _ = std::fs::remove_dir_all(&log_dir);
-    // Deterministic compaction below: no background races with the
-    // measured phases. Small rotation keeps the (never-compacted) active
-    // log a sliver of the population, so the reclaim fraction reflects
-    // the compactor rather than the rotation boundary.
-    let cfg = SegmentLogConfig {
-        auto_compact: false,
-        compact_min_garbage: 0.3,
-        rotate_bytes: 1 << 20,
-        ..SegmentLogConfig::default()
-    };
-    let log_backend =
-        SegmentLogBackend::with_config(&log_dir, None, false, cfg).expect("cache dir");
-    let packed_log = run_layout_arm(
-        &log_backend,
-        log_backend.io_ops(),
-        || log_backend.io_ops(),
-        &log_dir,
-        n,
-        &entry,
-    );
 
     // Delete half the population, then compact: how much of the garbage
     // does the log give back?
     for i in (0..n).step_by(2) {
-        log_backend.remove(i as u64);
+        backend.remove(i as u64);
     }
-    log_backend.flush().expect("flush");
-    let before = log_backend.log_stats();
+    backend.flush().expect("flush");
+    let before = backend.log_stats();
     let dead = before.file_bytes - before.live_bytes;
-    while log_backend.compact_now() > 0 {}
-    let after = log_backend.log_stats();
+    while backend.compact_now() > 0 {}
+    let after = backend.log_stats();
     let compact_reclaimed_frac = if dead > 0 {
         (after.reclaimed_bytes - before.reclaimed_bytes) as f64 / dead as f64
     } else {
         0.0
     };
-    drop(log_backend);
-    let _ = std::fs::remove_dir_all(&log_dir);
+    drop(backend);
+    let _ = std::fs::remove_dir_all(&dir);
 
-    for (layout, arm) in [
-        ("file-per-chunk", file_per_chunk),
-        ("packed-log", packed_log),
-    ] {
-        rows.push(
-            Row::new("storage_layout")
-                .col("layout", layout)
-                .num("chunks", n as f64)
-                .num("entry_bytes", entry.len() as f64)
-                .num("register_ms", arm.register_s * 1e3)
-                .num("load_ms", arm.load_s * 1e3)
-                .num("syscalls", arm.syscalls as f64)
-                .num("files", arm.files as f64),
-        );
-    }
+    rows.push(
+        Row::new("storage_layout")
+            .col("layout", "packed-log")
+            .num("chunks", n as f64)
+            .num("entry_bytes", entry.len() as f64)
+            .num("register_ms", register_s * 1e3)
+            .num("load_ms", load_s * 1e3)
+            .num("syscalls", syscalls as f64)
+            .num("files", files as f64),
+    );
     rows.push(
         Row::new("storage_compaction")
             .num("dead_bytes", dead as f64)
@@ -391,10 +336,12 @@ fn layout_sweep(root: &std::path::Path, smoke: bool, rows: &mut Vec<Row>) -> Lay
             ),
     );
 
-    LayoutComparison {
+    LayoutOutcome {
         chunks: n,
-        file_per_chunk,
-        packed_log,
+        register_s,
+        load_s,
+        syscalls,
+        files,
         compact_reclaimed_frac,
     }
 }
@@ -609,13 +556,12 @@ pub fn run_opts(opts: StorageOpts) -> StorageOutcome {
         headline * 100.0
     );
     println!(
-        "packed log: {} chunks registered in {:.0} ms / {} syscalls \
-         (file-per-chunk: {:.0} ms / {}); compaction reclaimed {:.0}% of dead bytes",
+        "packed log: {} chunks registered in {:.0} ms / {} syscalls in {} files; \
+         compaction reclaimed {:.0}% of dead bytes",
         layout.chunks,
-        layout.packed_log.register_s * 1e3,
-        layout.packed_log.syscalls,
-        layout.file_per_chunk.register_s * 1e3,
-        layout.file_per_chunk.syscalls,
+        layout.register_s * 1e3,
+        layout.syscalls,
+        layout.files,
         layout.compact_reclaimed_frac * 100.0
     );
     println!(
@@ -648,13 +594,12 @@ mod tests {
             dir: Some(dir),
         });
         assert!((0.0..=1.0).contains(&out.hidden_frac));
-        // Even at smoke scale the structural claims must hold: both
-        // layouts served every chunk, the packed log needs far fewer
-        // syscalls than one-file-per-chunk, and the quantized tier is
-        // materially smaller with a sane deviation CDF.
+        // Even at smoke scale the structural claims must hold: the log
+        // packs the population into a handful of files, compaction gives
+        // back most of the garbage, and the quantized tier is materially
+        // smaller with a sane deviation CDF.
         assert_eq!(out.layout.chunks, 300);
-        assert!(out.layout.packed_log.syscalls < out.layout.file_per_chunk.syscalls / 4);
-        assert!(out.layout.packed_log.files < out.layout.file_per_chunk.files);
+        assert!(out.layout.files < out.layout.chunks as u64 / 10);
         assert!(out.layout.compact_reclaimed_frac > 0.5);
         assert!(out.quantized.footprint_ratio > 3.0);
         assert!(out.quantized.deviation_p50 <= out.quantized.deviation_p95);

@@ -45,7 +45,6 @@ use cb_kv::ChunkId;
 use cb_model::{Model, ModelConfig, ModelProfile};
 use cb_storage::backend::{MemBackend, StorageBackend, Throttle};
 use cb_storage::device::DeviceKind;
-use cb_storage::disk::DiskBackend;
 use cb_storage::perf::{PaperModel, PerfModel};
 use cb_storage::segment_log::SegmentLogBackend;
 use cb_tokenizer::TokenId;
@@ -433,19 +432,6 @@ pub struct Response {
     pub chunk_sources: Vec<ChunkSource>,
 }
 
-/// On-disk layout of a persistent store tier.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DiskLayout {
-    /// One segment file per chunk ([`DiskBackend`], the reference
-    /// layout): simple, but every entry costs a file open.
-    #[default]
-    FilePerChunk,
-    /// Packed append-only segment logs with group commit and background
-    /// compaction ([`SegmentLogBackend`]): thousands of chunks share a
-    /// few files, cutting per-entry syscalls and metadata churn.
-    PackedLog,
-}
-
 /// One tier of an engine's [`StorageConfig`], fastest first.
 #[derive(Clone, Debug)]
 pub enum TierSpec {
@@ -457,26 +443,26 @@ pub enum TierSpec {
         /// Capacity in bytes.
         capacity: u64,
     },
-    /// A persistent disk tier: file-per-chunk segments under `dir`,
-    /// surviving process restart. With `throttle` set, reads sleep
-    /// according to the device's bandwidth/latency spec — the §5.2 device
-    /// grid emulated with real I/O plus real delays.
+    /// A persistent disk tier: packed append-only segment logs under
+    /// `dir` ([`SegmentLogBackend`]), surviving process restart. With
+    /// `throttle` set, reads sleep according to the device's
+    /// bandwidth/latency spec — the §5.2 device grid emulated with real
+    /// I/O plus real delays.
     Disk {
         /// Device whose spec names and (optionally) throttles the tier.
         device: DeviceKind,
         /// Capacity in bytes.
         capacity: u64,
-        /// Cache directory holding the segment files.
+        /// Cache directory holding the segment logs.
         dir: PathBuf,
         /// Emulate the device's read speed with real sleeps.
         throttle: bool,
         /// Other live engines use the same `dir` (cluster replicas over
         /// one persistent tier): entries they persist are discovered on
-        /// demand, promotion copies instead of moving, and temp files
-        /// never collide. See [`DiskBackend::open_shared`].
+        /// demand, promotion copies instead of moving, and each engine
+        /// appends to its own log series. See
+        /// [`SegmentLogBackend::open_shared`].
         shared: bool,
-        /// How entries are laid out on disk.
-        layout: DiskLayout,
         /// Store entries int8-quantized (a *cold* tier, ~4× smaller on
         /// disk; transcoded at the tier boundary — see
         /// [`cb_kv::store::TierConfig::quantized`]).
@@ -547,19 +533,14 @@ impl StorageConfig {
             dir: dir.into(),
             throttle,
             shared: false,
-            layout: DiskLayout::default(),
             quantized: false,
         });
         self
     }
 
-    /// Switches the most recently appended disk tier to the packed
-    /// segment-log layout ([`DiskLayout::PackedLog`]). No-op on a RAM
-    /// tier.
-    pub fn packed_log(mut self) -> Self {
-        if let Some(TierSpec::Disk { layout, .. }) = self.tiers.last_mut() {
-            *layout = DiskLayout::PackedLog;
-        }
+    /// No-op kept for source compatibility: every disk tier is a packed
+    /// segment log.
+    pub fn packed_log(self) -> Self {
         self
     }
 
@@ -573,16 +554,14 @@ impl StorageConfig {
         self
     }
 
-    /// Appends the full cold tier in one call: packed segment-log layout
-    /// plus int8 quantization — the archival bottom of a RAM → disk →
-    /// cold hierarchy.
+    /// Appends the full cold tier in one call: a disk tier with int8
+    /// quantization — the archival bottom of a RAM → disk → cold
+    /// hierarchy.
     pub fn cold_tier(self, device: DeviceKind, capacity: u64, dir: impl Into<PathBuf>) -> Self {
-        self.disk_tier(device, capacity, dir)
-            .packed_log()
-            .quantized()
+        self.disk_tier(device, capacity, dir).quantized()
     }
 
-    /// Appends a persistent disk tier whose segment dir is *shared* with
+    /// Appends a persistent disk tier whose log dir is *shared* with
     /// other live engines (cluster replicas all backed by one persistent
     /// tier). Entries persisted by any sibling are servable by every
     /// engine over the dir.
@@ -599,7 +578,6 @@ impl StorageConfig {
             dir: dir.into(),
             throttle,
             shared: true,
-            layout: DiskLayout::default(),
             quantized: false,
         });
         self
@@ -741,30 +719,15 @@ impl EngineBuilder {
                     dir,
                     throttle,
                     shared,
-                    layout,
                     ..
                 } => {
                     let throttle = throttle.then(|| Throttle::device(device));
-                    let storage_err =
-                        |e: cb_storage::BackendError| EngineError::Storage(e.to_string());
-                    match layout {
-                        DiskLayout::FilePerChunk => {
-                            let backend = if shared {
-                                DiskBackend::open_shared(dir, throttle)
-                            } else {
-                                DiskBackend::new(dir, throttle)
-                            };
-                            Arc::new(backend.map_err(storage_err)?)
-                        }
-                        DiskLayout::PackedLog => {
-                            let backend = if shared {
-                                SegmentLogBackend::open_shared(dir, throttle)
-                            } else {
-                                SegmentLogBackend::new(dir, throttle)
-                            };
-                            Arc::new(backend.map_err(storage_err)?)
-                        }
-                    }
+                    let backend = if shared {
+                        SegmentLogBackend::open_shared(dir, throttle)
+                    } else {
+                        SegmentLogBackend::new(dir, throttle)
+                    };
+                    Arc::new(backend.map_err(|e| EngineError::Storage(e.to_string()))?)
                 }
             };
             tiers.push((cfg, backend));

@@ -36,8 +36,7 @@ pub mod stream;
 
 pub use controller::LoadingController;
 pub use engine::{
-    DiskLayout, Engine, EngineBuilder, EngineError, Priority, RatioPolicy, Request, Response,
-    TtftBreakdown,
+    Engine, EngineBuilder, EngineError, Priority, RatioPolicy, Request, Response, TtftBreakdown,
 };
 pub use fusor::{BlendConfig, BlendResult, Fusor, Selection};
 pub use scheduler::{EngineService, ServiceConfig, ServiceStats, TrySubmitError};

@@ -302,7 +302,7 @@ mod tests {
     use crate::store::TierConfig;
     use cb_model::KvCache;
     use cb_storage::backend::MemBackend;
-    use cb_storage::{DiskBackend, Throttle};
+    use cb_storage::{SegmentLogBackend, Throttle};
     use cb_tensor::Matrix;
     use std::sync::atomic::{AtomicU64, Ordering};
     use std::sync::Arc;
@@ -337,7 +337,7 @@ mod tests {
             (TierConfig::new("ram", ram_cap), Arc::new(MemBackend::new())),
             (
                 TierConfig::new("disk", 1 << 24),
-                Arc::new(DiskBackend::new(dir, throttle).unwrap()),
+                Arc::new(SegmentLogBackend::new(dir, throttle).unwrap()),
             ),
         ])
     }
@@ -417,7 +417,7 @@ mod tests {
         let s = ram_disk(sz - 1, &dir, None);
         s.insert(ChunkId(5), &c).unwrap();
         s.flush().unwrap();
-        // Flip a byte inside layer 1's block on the segment file.
+        // Flip a byte inside layer 1's block of the stored entry.
         assert!(s.corrupt(
             ChunkId(5),
             crate::serialize::header_len(4) + sz as usize / 2

@@ -1,7 +1,7 @@
 //! The tiered RAM↔disk KV cache store.
 //!
 //! Entries are serialized caches placed on storage tiers, each tier backed
-//! by a real [`StorageBackend`] (RAM maps, persistent disk segments —
+//! by a real [`StorageBackend`] (RAM maps, persistent segment logs —
 //! `cb-storage`). The store owns the *policy* layer on top:
 //!
 //! - **Capacity-driven LRU spill.** An insert lands on the fastest tier
@@ -21,7 +21,7 @@
 //!   reported as [`StoreError::Corrupt`] rather than ever handed out.
 //! - **Persistence.** With a persistent last tier, [`KvStore::persist`]
 //!   demotes every RAM-resident entry to it and flushes, and a new store
-//!   built over the same backend re-indexes the surviving segments — KV
+//!   built over the same backend re-indexes the surviving records — KV
 //!   state survives process restart.
 //!
 //! Lookup reports *which* tier served the hit so callers can charge the
@@ -1118,7 +1118,7 @@ fn transcode_for_tier(stats: &mut StoreStats, bytes: Bytes, quantized: bool) -> 
 mod tests {
     use super::*;
     use cb_model::LayerKv;
-    use cb_storage::DiskBackend;
+    use cb_storage::SegmentLogBackend;
     use cb_tensor::Matrix;
     use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -1154,7 +1154,7 @@ mod tests {
             (TierConfig::new("ram", ram_cap), Arc::new(MemBackend::new())),
             (
                 TierConfig::new("disk", disk_cap),
-                Arc::new(DiskBackend::new(dir, None).unwrap()),
+                Arc::new(SegmentLogBackend::new(dir, None).unwrap()),
             ),
         ])
     }
@@ -1437,7 +1437,7 @@ mod tests {
                 ),
                 (
                     TierConfig::new("disk", 1 << 20),
-                    Arc::new(DiskBackend::open_shared(&dir, None).unwrap()),
+                    Arc::new(SegmentLogBackend::open_shared(&dir, None).unwrap()),
                 ),
             ])
         };
@@ -1509,13 +1509,13 @@ mod tests {
     fn shared_tier_capacity_eviction_keeps_sibling_segments() {
         // Regression (review finding): LRU eviction at a *shared* last
         // tier must release only this handle's claim — unlinking the
-        // segment would steal it from sibling replicas.
+        // record would steal it from sibling replicas.
         let dir = test_dir("shared-evict");
         let sz = entry_size(2);
         let shared_store = |disk_cap: u64| {
             KvStore::with_backends(vec![(
                 TierConfig::new("disk", disk_cap),
-                Arc::new(DiskBackend::open_shared(&dir, None).unwrap())
+                Arc::new(SegmentLogBackend::open_shared(&dir, None).unwrap())
                     as Arc<dyn cb_storage::backend::StorageBackend>,
             )])
         };
@@ -1525,7 +1525,7 @@ mod tests {
         }
         a.flush().unwrap();
         // A capacity-starved sibling over the same dir: recovery trims its
-        // *claims* to capacity, but every segment file must survive.
+        // *claims* to capacity, but every record must stay on disk.
         let b = shared_store(sz);
         assert_eq!(b.len(), 1, "sibling claims trimmed to capacity");
         for i in 0..3u64 {

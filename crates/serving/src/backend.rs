@@ -332,7 +332,7 @@ impl EngineBackend {
     /// The disk-resident closed-loop arm: same single-worker service, but
     /// the engine's store is a small RAM tier over a persistent,
     /// device-throttled disk tier under `dir` — chunk KV genuinely spills
-    /// to segment files and is streamed back through the pipelined loader,
+    /// to segment logs and is streamed back through the pipelined loader,
     /// so the measured TTFTs carry real (emulated-device) storage latency.
     pub fn single_worker_on_disk(
         profile: cb_model::ModelProfile,

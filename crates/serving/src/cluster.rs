@@ -5,7 +5,7 @@
 //! module scales *out*: a [`ClusterService`] fronts several replicas, each
 //! with its own model instance, scheduler, and RAM store tier — typically
 //! all backed by one **shared persistent tier** (a
-//! [`DiskBackend::open_shared`] segment dir), so any replica can serve any
+//! [`SegmentLogBackend::open_shared`] log dir), so any replica can serve any
 //! chunk via the existing prefetch pipeline even when its RAM is cold.
 //!
 //! **Architecture.** The routing, spill, and failover policy lives in
@@ -42,7 +42,7 @@
 //! chunk- and request-level locality rates, spill/reroute/failover counts,
 //! and the summed scheduler counters (deadline misses included).
 //!
-//! [`DiskBackend::open_shared`]: cb_storage::DiskBackend::open_shared
+//! [`SegmentLogBackend::open_shared`]: cb_storage::SegmentLogBackend::open_shared
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};

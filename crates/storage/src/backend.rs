@@ -5,8 +5,9 @@
 //! bytes under this key" for one tier. Two implementations ship:
 //!
 //! - [`MemBackend`] — a RAM map; the fast tier.
-//! - [`DiskBackend`](crate::disk::DiskBackend) — persistent file-per-chunk
-//!   segments with a write-behind flusher; the capacity tier.
+//! - [`SegmentLogBackend`](crate::segment_log::SegmentLogBackend) —
+//!   persistent packed append-only logs with a write-behind flusher; the
+//!   capacity tier.
 //!
 //! Reads come in two shapes. [`StorageBackend::get`] returns the whole
 //! entry (integrity-verified where the medium can corrupt, i.e. on disk).
@@ -61,9 +62,8 @@ pub struct MaintenanceStats {
     pub reclaimed_bytes: u64,
 }
 
-/// Snapshot of a backend's filesystem-operation counters. Benchmarks use
-/// these to compare layouts (file-per-chunk pays one `open` per read; a
-/// packed log reads through cached handles) without `strace`.
+/// Snapshot of a backend's filesystem-operation counters. Benchmarks
+/// report syscalls per operation from these without `strace`.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct IoOps {
     /// File/dir opens (including whole-file read/write convenience calls).
@@ -142,7 +142,7 @@ pub trait ReadStream {
 /// ops, write-behind `put`s, and file deletes, all of which return
 /// without device-speed waits.
 pub trait StorageBackend: Send + Sync + std::fmt::Debug {
-    /// Short label for stats/reporting ("mem", "disk:/path").
+    /// Short label for stats/reporting ("mem", "seglog:/path").
     fn name(&self) -> String;
 
     /// True if entries survive process restart (drives store recovery).

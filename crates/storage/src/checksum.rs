@@ -2,11 +2,11 @@
 //!
 //! One FNV-1a variant guards every byte that crosses a storage boundary:
 //! `cb-kv::serialize` stamps it on cache-entry headers and per-layer
-//! blocks, and [`crate::disk::DiskBackend`] stamps it on whole segment
-//! files. It hashes 8-byte words (trailing bytes folded individually),
-//! which keeps single-bit-flip detection while running ~8x faster than the
-//! byte-wise loop — verification sits on the blend's TTFT-critical load
-//! path.
+//! blocks, and [`crate::segment_log::SegmentLogBackend`] stamps it on
+//! every log record. It hashes 8-byte words (trailing bytes folded
+//! individually), which keeps single-bit-flip detection while running ~8x
+//! faster than the byte-wise loop — verification sits on the blend's
+//! TTFT-critical load path.
 
 /// FNV-1a over 8-byte little-endian words.
 pub fn fnv64(bytes: &[u8]) -> u64 {

@@ -13,10 +13,11 @@
 //! Since the tiered-storage subsystem, this crate also owns the *real*
 //! byte stores the tiered `cb-kv::KvStore` places entries on: the
 //! [`backend::StorageBackend`] trait with an in-RAM [`backend::MemBackend`]
-//! and a persistent [`disk::DiskBackend`] (file-per-chunk segments,
-//! write-behind flusher, crash-safe recovery), plus the shared
-//! [`checksum::fnv64`] integrity hash and a [`backend::Throttle`] that
-//! emulates the §5.2 device grid with real sleeps.
+//! and the persistent [`segment_log::SegmentLogBackend`] (packed
+//! append-only logs, group-committed write-behind, crash-safe replay),
+//! plus the shared [`checksum::fnv64`] integrity hash and a
+//! [`backend::Throttle`] that emulates the §5.2 device grid with real
+//! sleeps.
 //!
 //! Modules:
 //!
@@ -26,24 +27,27 @@
 //! - [`checksum`] — the workspace's shared word-wise FNV checksum.
 //! - [`backend`] — the [`backend::StorageBackend`] tier-store trait and
 //!   the RAM implementation.
-//! - [`disk`] — the persistent file-per-chunk backend (reference layout).
-//! - [`segment_log`] — the packed log-structured backend: append-only
-//!   segment logs, group commit, startup replay with torn-tail recovery.
+//! - [`segment_log`] — the persistent backend: append-only segment logs,
+//!   group commit, startup replay with torn-tail recovery.
 //! - [`compact`] — background compaction for the segment log.
 
 pub mod backend;
 pub mod checksum;
 pub(crate) mod compact;
 pub mod device;
-pub mod disk;
 pub mod perf;
 pub mod segment_log;
+
+// The disk tier's black-box contract tests (the segment log is its only
+// layout).
+#[cfg(test)]
+#[path = "disk_tier_tests.rs"]
+mod disk;
 
 pub use backend::{
     BackendError, IoOps, MaintenanceStats, MemBackend, ReadStream, StorageBackend, Throttle,
 };
 pub use checksum::fnv64;
 pub use device::{DeviceKind, DeviceSpec};
-pub use disk::DiskBackend;
 pub use perf::{GpuSpec, PaperModel, PerfModel};
 pub use segment_log::{LogStats, SegmentLogBackend, SegmentLogConfig};

@@ -1,10 +1,10 @@
-//! The packed log-structured persistent tier: append-only segment logs
-//! with an in-memory index and background compaction.
+//! The persistent tier: append-only segment logs with an in-memory index
+//! and background compaction.
 //!
-//! PR 4's file-per-chunk `<key>.seg` layout pays one inode and one
-//! `open()` per entry; at 10⁶+ chunks that is inode churn, directory-walk
-//! recovery, and zero read locality. This backend packs many records into
-//! a handful of append-only **log files** instead:
+//! A file per chunk would pay one inode and one `open()` per entry; at
+//! 10⁶+ chunks that is inode churn, directory-walk recovery, and zero
+//! read locality. This backend packs many records into a handful of
+//! append-only **log files** instead:
 //!
 //! ```text
 //! <dir>/00000001.cblog           (exclusive handles)
@@ -21,13 +21,15 @@
 //! order, later records superseding earlier ones and tombstones deleting.
 //! A **torn tail** (a crash mid-append) is truncated back to the last
 //! valid record instead of rejecting the whole log, so one lost append
-//! never takes 10³ good records with it.
+//! never takes 10³ good records with it. A record whose header is intact
+//! but whose checksum fails is skipped as dead bytes when a valid record
+//! follows it; only a bad region nothing valid follows is a torn tail.
 //!
 //! **Group commit.** [`SegmentLogBackend::put`] stages bytes in a pending
-//! map and queues them to a flusher thread, exactly like the
-//! file-per-chunk backend — but the flusher drains its whole queue per
-//! wakeup and appends the batch to the active log with **one** write call,
-//! so a registration burst of 10⁴ chunks costs ~10⁴ fewer syscalls and no
+//! map and queues them to a flusher thread (reads see staged bytes like
+//! an OS page cache would); the flusher drains its whole queue per wakeup
+//! and appends the batch to the active log with **one** write call, so a
+//! registration burst of 10⁴ chunks costs one syscall per batch and no
 //! renames. The active log rotates (seals) at
 //! [`SegmentLogConfig::rotate_bytes`].
 //!
@@ -37,16 +39,17 @@
 //! reclaiming dead bytes. See the `compact` module docs for the replay-
 //! ordering argument.
 //!
-//! **Shared directories** preserve the cluster tier semantics of the
-//! file-per-chunk backend: each handle appends to its *own* log series
+//! **Shared directories** ([`SegmentLogBackend::open_shared`]) back a
+//! cluster tier: each handle appends to its *own* log series
 //! (handle-unique nonce prefix), [`StorageBackend::discover`] re-scans
 //! sibling series incrementally so entries persisted by another replica
 //! become servable without a reopen, and [`StorageBackend::forget`]
 //! releases only this handle's claim — the record stays on disk (and
 //! stays *live* for the compactor, so a sibling's copy is never rewritten
 //! away underneath it). Shared handles never truncate or compact a
-//! foreign series, and leave foreign `.ctmp` files alone (they may be a
-//! live sibling's in-flight compaction).
+//! foreign series — a foreign torn tail may be a sibling's append still in
+//! flight — and leave foreign `.ctmp` files alone (they may be a live
+//! sibling's in-flight compaction).
 
 use std::collections::{BTreeMap, HashMap};
 use std::fs;
@@ -317,12 +320,16 @@ pub(crate) struct ScanRecord {
     pub(crate) len: u64,
 }
 
-/// Walks `raw` from `from`, yielding every fully-valid record. Returns
-/// the records and the offset of the first invalid/incomplete byte (the
-/// valid prefix length when it equals `raw.len()`).
+/// Walks `raw` from `from`, yielding every fully-valid record. A record
+/// whose header is well-formed and in bounds but whose checksum fails is
+/// stepped over, so one flipped bit never hides the records behind it.
+/// Returns the records and the end offset of the last valid one (`from`
+/// if none): whatever lies past it — an incomplete record, a malformed
+/// header, or bad records nothing valid follows — is the torn tail.
 pub(crate) fn scan_records(raw: &[u8], from: u64) -> (Vec<ScanRecord>, u64) {
     let mut out = Vec::new();
     let mut pos = from as usize;
+    let mut valid_end = pos;
     while pos + REC_FRAME <= raw.len() {
         let h = &raw[pos..pos + REC_HEADER];
         let magic = u32::from_le_bytes(h[0..4].try_into().unwrap());
@@ -340,18 +347,18 @@ pub(crate) fn scan_records(raw: &[u8], from: u64) -> (Vec<ScanRecord>, u64) {
         }
         let body = pos + REC_HEADER + plen;
         let declared = u64::from_le_bytes(raw[body..body + 8].try_into().unwrap());
-        if fnv64(&raw[pos..body]) != declared {
-            break;
+        if fnv64(&raw[pos..body]) == declared {
+            out.push(ScanRecord {
+                key,
+                kind,
+                payload_off: (pos + REC_HEADER) as u64,
+                len: plen as u64,
+            });
+            valid_end = end;
         }
-        out.push(ScanRecord {
-            key,
-            kind,
-            payload_off: (pos + REC_HEADER) as u64,
-            len: plen as u64,
-        });
         pos = end;
     }
-    (out, pos as u64)
+    (out, valid_end as u64)
 }
 
 /// Positional read through a cached handle (no seek, no reopen).
@@ -375,7 +382,7 @@ impl SegmentLogBackend {
     /// scanned, the index rebuilt, torn tails truncated to the last valid
     /// record, and stale compaction temp files deleted.
     pub fn new(dir: impl Into<PathBuf>, throttle: Option<Throttle>) -> Result<Self, BackendError> {
-        Self::open(dir, throttle, false, SegmentLogConfig::default())
+        Self::with_config(dir, throttle, false, SegmentLogConfig::default())
     }
 
     /// Opens a log dir that other live handles also append to. This handle
@@ -386,21 +393,12 @@ impl SegmentLogBackend {
         dir: impl Into<PathBuf>,
         throttle: Option<Throttle>,
     ) -> Result<Self, BackendError> {
-        Self::open(dir, throttle, true, SegmentLogConfig::default())
+        Self::with_config(dir, throttle, true, SegmentLogConfig::default())
     }
 
     /// Opens with explicit tuning (tests shrink `rotate_bytes` and drive
     /// compaction by hand).
     pub fn with_config(
-        dir: impl Into<PathBuf>,
-        throttle: Option<Throttle>,
-        shared: bool,
-        cfg: SegmentLogConfig,
-    ) -> Result<Self, BackendError> {
-        Self::open(dir, throttle, shared, cfg)
-    }
-
-    fn open(
         dir: impl Into<PathBuf>,
         throttle: Option<Throttle>,
         shared: bool,
@@ -890,11 +888,9 @@ impl SegmentLogBackend {
         }
         let loc = s.unclaimed.remove(&key)?;
         s.index.insert(key, Slot::Stored(loc));
+        // A re-adopted own record stayed live through `forget`, so its
+        // log's live accounting is already right.
         s.used += loc.len;
-        if loc.file.1 == self.nonce {
-            // Re-adopted own record: it stayed live through forget, so the
-            // live accounting is already right.
-        }
         Some(loc.len)
     }
 }
@@ -1524,10 +1520,7 @@ mod tests {
         b.put(6, Bytes::from(vec![4u8; 100])).unwrap();
         b.flush().unwrap();
         let stats = b.log_stats();
-        let log = {
-            let s = b.state.lock();
-            s.logs[&s.active].path.clone()
-        };
+        let log = active_log(&b);
         let mut raw = fs::read(&log).unwrap();
         raw[REC_HEADER + 10] ^= 0xFF; // payload byte of record 1 (key 5)
         fs::write(&log, &raw).unwrap();
@@ -1650,6 +1643,145 @@ mod tests {
         let b = SegmentLogBackend::new(&dir, None).unwrap();
         assert_eq!(b.dropped_debris(), 1);
         assert!(!stale.exists());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Path of the log `b` is appending to.
+    fn active_log(b: &SegmentLogBackend) -> PathBuf {
+        let s = b.state.lock();
+        s.logs[&s.active].path.clone()
+    }
+
+    /// Durably appends keys `0..n` (40-byte payloads) through `b`.
+    fn put_n(b: &SegmentLogBackend, n: u64) {
+        for k in 0..n {
+            b.put(k, Bytes::from(vec![k as u8; 40])).unwrap();
+        }
+        b.flush().unwrap();
+    }
+
+    /// Flips one payload byte of the `nth` 40-byte record in `log`.
+    fn flip_record(log: &Path, nth: usize) {
+        let mut raw = fs::read(log).unwrap();
+        raw[nth * (40 + REC_FRAME) + REC_HEADER + 3] ^= 0x01;
+        fs::write(log, &raw).unwrap();
+    }
+
+    #[test]
+    fn mid_log_bit_flip_is_skipped_but_a_bad_tail_is_truncated() {
+        let dir = test_dir("mid-flip");
+        let log = {
+            let b = SegmentLogBackend::new(&dir, None).unwrap();
+            put_n(&b, 8);
+            active_log(&b)
+        };
+        // Valid records follow the first one, so its bad checksum makes it
+        // dead bytes; nothing valid follows the last one: a torn tail.
+        flip_record(&log, 0);
+        flip_record(&log, 7);
+        let frame = (40 + REC_FRAME) as u64;
+        assert_eq!(fs::metadata(&log).unwrap().len(), 8 * frame);
+
+        let b = SegmentLogBackend::new(&dir, None).unwrap();
+        assert_eq!(b.torn_truncations(), 1, "only the tail is truncated");
+        assert_eq!(fs::metadata(&log).unwrap().len(), 7 * frame);
+        assert_eq!(b.recovered_records(), 6);
+        assert!(!b.contains(0) && !b.contains(7), "bad records never index");
+        for k in 1..7u64 {
+            assert_eq!(b.get(k).unwrap().unwrap().as_ref(), &[k as u8; 40][..]);
+        }
+        let stats = b.log_stats();
+        assert!(
+            stats.file_bytes - stats.live_bytes >= frame,
+            "the skipped frame counts as dead bytes"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn corrupt_foreign_record_does_not_hide_later_ones() {
+        let dir = test_dir("shared-flip");
+        let reader = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        let writer = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        put_n(&writer, 8);
+        flip_record(&active_log(&writer), 0);
+
+        // Incremental discovery steps over the bad record ...
+        assert_eq!(reader.discover(0), None, "the bad record is never served");
+        for k in 1..8u64 {
+            assert_eq!(reader.discover(k), Some(40), "key {k} discovered");
+        }
+        // ... and so does a sibling's startup scan.
+        let late = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        assert!(!late.contains(0));
+        for k in 1..8u64 {
+            assert_eq!(late.get(k).unwrap().unwrap().as_ref(), &[k as u8; 40][..]);
+        }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn shared_startup_preserves_foreign_tmp_files() {
+        let dir = test_dir("shared-tmp");
+        let log = {
+            let w = SegmentLogBackend::open_shared(&dir, None).unwrap();
+            put_n(&w, 4);
+            active_log(&w)
+        };
+        // A sibling's in-flight compaction output and a sibling's append
+        // still landing (the last record is a few bytes short).
+        let ctmp = dir.join("00000000000000aa-00000009.cblog.ctmp");
+        fs::write(&ctmp, b"sibling compaction in flight").unwrap();
+        let raw = fs::read(&log).unwrap();
+        let torn_len = raw.len() as u64 - 5;
+        fs::write(&log, &raw[..torn_len as usize]).unwrap();
+
+        let shared = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        assert_eq!(shared.dropped_debris(), 0);
+        assert_eq!(shared.torn_truncations(), 0);
+        assert!(ctmp.exists(), "shared startup must not delete a .ctmp");
+        assert_eq!(
+            fs::metadata(&log).unwrap().len(),
+            torn_len,
+            "shared startup must not truncate a foreign tail"
+        );
+        assert_eq!(shared.len(), 3, "the intact prefix is served");
+        drop(shared);
+
+        let exclusive = SegmentLogBackend::new(&dir, None).unwrap();
+        assert_eq!(exclusive.dropped_debris(), 1, "exclusive startup cleans");
+        assert_eq!(exclusive.torn_truncations(), 1);
+        assert!(!ctmp.exists());
+        assert_eq!(
+            fs::metadata(&log).unwrap().len(),
+            3 * (40 + REC_FRAME) as u64
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_shared_writers_use_distinct_series() {
+        let dir = test_dir("shared-write");
+        let a = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        let b = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        // Interleaved write-behind on the same key from both handles: each
+        // appends to its own series, so neither flusher tears the other's
+        // records and each handle serves its own last generation.
+        for i in 0..16u8 {
+            a.put(9, Bytes::from(vec![i; 64])).unwrap();
+            b.put(9, Bytes::from(vec![i ^ 0xFF; 64])).unwrap();
+        }
+        a.flush().unwrap();
+        b.flush().unwrap();
+        assert_ne!(active_log(&a), active_log(&b), "one series per handle");
+        assert_eq!(a.get(9).unwrap().unwrap().as_ref(), &[15u8; 64][..]);
+        assert_eq!(b.get(9).unwrap().unwrap().as_ref(), &[15u8 ^ 0xFF; 64][..]);
+        let replayed = SegmentLogBackend::open_shared(&dir, None).unwrap();
+        let got = replayed.get(9).unwrap().unwrap();
+        assert!(
+            got.iter().all(|&x| x == 15) || got.iter().all(|&x| x == 15 ^ 0xFF),
+            "one complete final generation replays, never a torn mix"
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -71,8 +71,8 @@ pub mod prelude {
     pub use cb_core::{
         controller::LoadingController,
         engine::{
-            DiskLayout, Engine, EngineBuilder, EngineError, Priority, Request, Response,
-            StorageConfig, TierSpec, TtftBreakdown,
+            Engine, EngineBuilder, EngineError, Priority, Request, Response, StorageConfig,
+            TierSpec, TtftBreakdown,
         },
         fusor::{BlendConfig, Fusor},
         scheduler::{EngineService, ServiceConfig, ServiceStats, TrySubmitError},

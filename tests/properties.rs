@@ -629,7 +629,7 @@ fn scheduler_collect_equals_one_shot_submit() {
 #[test]
 fn tiered_store_occupancy_and_counters_are_consistent() {
     use cacheblend::kv::ChunkId;
-    use cacheblend::storage::{DiskBackend, MemBackend, StorageBackend};
+    use cacheblend::storage::{MemBackend, SegmentLogBackend, StorageBackend};
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -657,7 +657,7 @@ fn tiered_store_occupancy_and_counters_are_consistent() {
             ),
             (
                 TierConfig::new("disk", disk_cap),
-                Arc::new(DiskBackend::new(&dir, None).unwrap()),
+                Arc::new(SegmentLogBackend::new(&dir, None).unwrap()),
             ),
         ]);
 
@@ -762,7 +762,7 @@ fn quantization_roundtrip_error_is_bounded_per_row() {
 #[test]
 fn quantized_cold_tier_cycles_preserve_payload_and_stats() {
     use cacheblend::kv::ChunkId;
-    use cacheblend::storage::{DiskBackend, MemBackend, SegmentLogBackend, StorageBackend};
+    use cacheblend::storage::{MemBackend, SegmentLogBackend, StorageBackend};
     use std::collections::HashSet;
     use std::sync::Arc;
 
@@ -791,7 +791,7 @@ fn quantized_cold_tier_cycles_preserve_payload_and_stats() {
             ),
             (
                 TierConfig::new("disk", disk_cap),
-                Arc::new(DiskBackend::new(root.join("warm"), None).unwrap()),
+                Arc::new(SegmentLogBackend::new(root.join("warm"), None).unwrap()),
             ),
             (
                 TierConfig::quantized("cold", cold_cap),

@@ -45,6 +45,19 @@ fn scenario(e: &Engine) -> (Vec<Vec<u32>>, Vec<u32>, u32) {
     (vec![c1, c2], q, v.id(Value(9)))
 }
 
+/// The cache dir's non-empty segment logs, in replay order.
+fn nonempty_logs(dir: &std::path::Path) -> Vec<std::path::PathBuf> {
+    let mut logs: Vec<_> = std::fs::read_dir(dir)
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .filter(|p| p.extension().is_some_and(|x| x == "cblog"))
+        .filter(|p| std::fs::metadata(p).unwrap().len() > 0)
+        .collect();
+    logs.sort();
+    logs
+}
+
 #[test]
 fn engine_state_survives_restart_with_crash_debris() {
     let dir = cache_dir("restart");
@@ -62,25 +75,22 @@ fn engine_state_survives_restart_with_crash_debris() {
         (chunks, query, gold)
     };
 
-    // Simulated crash debris: a torn half-written segment plus a .tmp
-    // orphan. Recovery must drop both and keep the intact entries.
-    let mut seg_files: Vec<_> = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| p.extension().is_some_and(|x| x == "seg"))
-        .collect();
-    seg_files.sort();
-    assert_eq!(seg_files.len(), 2, "both chunks persisted");
-    let torn = &seg_files[0];
+    // Simulated crash debris: the last record appended a few bytes short
+    // (a torn tail) plus a compaction temp orphan. Recovery must drop both
+    // and keep the intact entry.
+    let logs = nonempty_logs(&dir);
+    assert_eq!(logs.len(), 1, "both chunks persisted into one log");
+    let torn = &logs[0];
     let raw = std::fs::read(torn).unwrap();
-    std::fs::write(torn, &raw[..raw.len() / 2]).unwrap();
-    std::fs::write(dir.join("deadbeefdeadbeef.tmp"), b"half a segment").unwrap();
+    std::fs::write(torn, &raw[..raw.len() - 3]).unwrap();
+    let orphan = dir.join("00000009.cblog.ctmp");
+    std::fs::write(&orphan, b"half a compaction").unwrap();
 
     // Session 2: rebuild. One chunk recovered, the torn one re-precomputed
     // transparently at registration; the request serves correctly.
     let e = build_engine(&dir);
-    assert_eq!(e.store().len(), 1, "torn segment dropped at recovery");
+    assert_eq!(e.store().len(), 1, "torn record dropped at recovery");
+    assert!(!orphan.exists(), "orphan deleted at recovery");
     let ids = e.register_chunks(&chunks).unwrap();
     assert_eq!(
         e.store().stats().inserts,
@@ -129,17 +139,13 @@ fn corrupt_disk_segment_is_quarantined_and_repaired() {
     let ids = e.register_chunks(&chunks).unwrap();
     e.persist().unwrap();
 
-    // Flip one byte deep inside a segment's layer data.
-    let seg = std::fs::read_dir(&dir)
-        .unwrap()
-        .flatten()
-        .map(|en| en.path())
-        .find(|p| p.extension().is_some_and(|x| x == "seg"))
-        .unwrap();
-    let mut raw = std::fs::read(&seg).unwrap();
-    let n = raw.len();
-    raw[n / 2] ^= 0xFF;
-    std::fs::write(&seg, raw).unwrap();
+    // Flip one byte deep inside the first record's payload (its layer
+    // data): the record header is 24 bytes, ending in the payload length.
+    let log = &nonempty_logs(&dir)[0];
+    let mut raw = std::fs::read(log).unwrap();
+    let payload_len = u64::from_le_bytes(raw[16..24].try_into().unwrap()) as usize;
+    raw[24 + payload_len / 2] ^= 0xFF;
+    std::fs::write(log, raw).unwrap();
 
     // First submit trips the checksum: unified Corrupt error, entry gone.
     let err = e
